@@ -21,7 +21,6 @@ Context::~Context() {
     // not run with another context's tenant ambient.
     flush_ingest();
     activate();
-    if (opts_.batch_submit && gpu_->submitting()) gpu_->commit();
     gpu_->synchronize_device();
   } catch (...) {
     // Destructors must not throw; an unsatisfiable schedule at teardown
@@ -226,13 +225,6 @@ void Context::submit_library(const LibraryFunctionDef& def,
 void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                              const sim::KernelProfile& profile,
                              std::function<void()> functional) {
-  // Batched submission: open the runtime transaction lazily at the first
-  // async computation. The runtime flushes it at every synchronization /
-  // host-observation point, so batch boundaries track DAG levels as the
-  // host program exposes them; the bracket closes in ~Context.
-  if (opts_.batch_submit && !gpu_->submitting() && !gpu_->capturing()) {
-    gpu_->begin_submit();
-  }
   // Model the cost of dependency computation and stream selection.
   gpu_->host_advance(opts_.scheduling_overhead_us);
 

@@ -443,7 +443,11 @@ std::size_t Engine::commit_transaction() {
   return n;
 }
 
-void Engine::validate_submission(const Submission& sub) const {
+void Engine::seal_submission(const Submission& sub) const {
+  // A recorded list replayed against the engine that sealed it skips the
+  // pre-pass: nothing it references can have disappeared (streams and
+  // events only ever grow) and the list is unchanged.
+  if (sub.sealed_gen_ == gen_) return;
   // Host times replay a host call sequence, so they must be
   // non-decreasing; every item must reference valid streams/events.
   TimeUs prev = sub.items_.front().host_time;
@@ -467,68 +471,10 @@ void Engine::validate_submission(const Submission& sub) const {
     }
   }
   ++sub.validations_;
-}
-
-std::vector<OpId> Engine::commit(Submission& sub) {
-  std::vector<OpId> ids;
-  ids.reserve(sub.num_ops_);
-  if (sub.items_.empty()) return ids;
-
-  // Atomic pre-pass: reject the whole submission before touching any
-  // engine state (including the open-transaction check begin_transaction
-  // would otherwise hit after the items were already drained).
-  if (txn_open_) {
-    throw TransactionError(TransactionError::Kind::AlreadyOpen, "commit",
-                           txn_ops_);
-  }
-  validate_submission(sub);
-
-  // The items are moved out before anything is applied: zero-work ops
-  // complete inside the committing advance and their callbacks may
-  // re-enter the runtime, which must find the submission buffer empty
-  // (not mid-iteration). The capacity is donated back afterwards.
-  std::vector<Submission::Item> items = std::move(sub.items_);
-  sub.items_.clear();
-  sub.num_ops_ = 0;
-
-  begin_transaction(items.front().host_time);
-  for (Submission::Item& item : items) {
-    switch (item.kind) {
-      case Submission::ItemKind::Enqueue: {
-        const OpId id = enqueue(std::move(item.op), item.host_time);
-        ids.push_back(id);
-        if (item.bind) item.bind(*this, id);
-        break;
-      }
-      case Submission::ItemKind::Record:
-        record_event(item.event, item.stream, item.host_time);
-        break;
-      case Submission::ItemKind::Wait:
-        // Inline wait_event so the marker's id lands in `ids` like any
-        // other enqueued op.
-        ids.push_back(
-            enqueue(make_wait_marker(item.stream, item.event), item.host_time));
-        break;
-    }
-  }
-  commit_transaction();
-  if (sub.items_.empty()) {
-    // Donate the buffer capacity back for reuse (unless a re-entrant
-    // callback already appended fresh items to the submission).
-    items.clear();
-    sub.items_ = std::move(items);
-  }
-  return ids;
+  sub.sealed_gen_ = gen_;
 }
 
 std::size_t Engine::apply_submission(const Submission& sub) {
-  // A recorded list replayed against the engine that sealed it skips the
-  // validation pre-pass: nothing it references can have disappeared
-  // (streams and events only ever grow) and the list is unchanged.
-  if (sub.sealed_gen_ != gen_) {
-    validate_submission(sub);
-    sub.sealed_gen_ = gen_;
-  }
   // Index-based: zero-work items can complete inside the bracketing
   // commit and their callbacks may re-enter the engine (but must not
   // mutate `sub`).
@@ -558,6 +504,9 @@ std::size_t Engine::commit(const Submission& sub) {
     throw TransactionError(TransactionError::Kind::AlreadyOpen, "commit",
                            txn_ops_);
   }
+  // Validate before the transaction opens: a rejected list must not leave
+  // one open behind it.
+  seal_submission(sub);
   begin_transaction(sub.items_.front().host_time);
   const std::size_t n = apply_submission(sub);
   commit_transaction();
@@ -569,6 +518,7 @@ std::size_t Engine::ingest(const Submission& sub) {
     throw TransactionError(TransactionError::Kind::NotOpen, "ingest", 0);
   }
   if (sub.items_.empty()) return 0;
+  seal_submission(sub);
   return apply_submission(sub);
 }
 

@@ -53,9 +53,10 @@ namespace psched::sim {
 
 class Engine;
 
-/// A transaction of host-API calls committed to the engine as one unit —
-/// the command buffer of the batched submission path (see
-/// docs/engine-internals.md, "Transactions and batched ingestion").
+/// A recorded list of host-API calls, committed to the engine as one
+/// transaction and re-committable verbatim — the command buffer that
+/// recorded graph launches and ingest replays re-issue (see
+/// docs/engine-internals.md, "Recorded, re-committable submissions").
 ///
 /// Items are recorded in host issue order, each stamped with the host time
 /// of the original call; Engine::commit applies them in exactly that order
@@ -110,8 +111,9 @@ class Submission {
   [[nodiscard]] std::size_t num_ops() const { return num_ops_; }
 
   // --- replay introspection (recorded, re-committable lists) ---
-  /// True once a const-view Engine::commit validated this list; replays
-  /// against the same engine skip re-validation. Any mutation unseals.
+  /// True once Engine::commit or Engine::ingest validated this list;
+  /// replays against the same engine skip re-validation. Any mutation
+  /// unseals.
   [[nodiscard]] bool sealed() const { return sealed_gen_ != 0; }
   /// How many validation passes engines have run over this list (a sealed
   /// list re-committed N times stays at 1).
@@ -228,23 +230,18 @@ class Engine {
   std::size_t commit_transaction();
   [[nodiscard]] bool in_transaction() const { return txn_open_; }
 
-  /// Commit a detached Submission as one transaction: validate every item
-  /// up front (atomic — a bad item rejects the whole submission
-  /// untouched), then begin_transaction at the first item's host time,
-  /// apply all items in recorded order, commit_transaction at the last.
-  /// Item host times must be non-decreasing (they replay a host call
-  /// sequence). Returns the ids of enqueued ops (including wait markers)
-  /// in submission order; the submission is drained but keeps its buffer
-  /// capacity for reuse.
-  std::vector<OpId> commit(Submission& sub);
-  std::vector<OpId> commit(Submission&& sub) { return commit(sub); }
-  /// Commit a *recorded* submission without consuming it: the list is
-  /// validated once (sealed; replays against the same engine skip the
-  /// pre-pass), the items are applied by copy in recorded order, and the
-  /// buffer is left intact for the next replay — no draining, no
-  /// reallocation, no per-replay ids vector. Binds rerun with the freshly
-  /// assigned ids. Returns the number of ops committed. The submission
-  /// must not be mutated re-entrantly from completion callbacks.
+  /// Commit a recorded submission as one transaction without consuming
+  /// it: validate every item up front (atomic — a bad item rejects the
+  /// whole list before any state changes, no transaction left open), then
+  /// begin_transaction at the first item's host time, apply the items by
+  /// copy in recorded order, commit_transaction at the last. Item host
+  /// times must be non-decreasing (they replay a host call sequence). The
+  /// validation seals the list: replays against the same engine skip it,
+  /// and the buffer is left intact for the next replay — no draining, no
+  /// reallocation. Binds run with the freshly assigned ids, before the op
+  /// can start. Returns the number of ops committed (wait markers
+  /// included). The submission must not be mutated re-entrantly from
+  /// completion callbacks.
   std::size_t commit(const Submission& sub);
   /// Apply a recorded submission *into the open transaction* (throws
   /// ApiError without one): the replay path of a batch join — items
@@ -491,11 +488,12 @@ class Engine {
   /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
   /// peer constraints. Used by enqueue() and by commit()'s atomic pre-pass.
   void check_enqueueable(const Op& op) const;
-  /// Atomic pre-pass shared by both commit flavours: per-item validation
-  /// plus non-decreasing host times. Throws ApiError; touches no state.
-  void validate_submission(const Submission& sub) const;
-  /// Validate-or-skip (sealing) plus the item-apply loop shared by the
-  /// const commit and ingest(); the caller brackets the transaction.
+  /// Atomic pre-pass: per-item validation plus non-decreasing host times,
+  /// skipped for a list this engine already sealed. Throws ApiError;
+  /// touches no engine state.
+  void seal_submission(const Submission& sub) const;
+  /// The item-apply loop shared by commit() and ingest(); the caller
+  /// seals the list and brackets the transaction.
   std::size_t apply_submission(const Submission& sub);
   /// The wait_event lowering: one zero-work marker gated on `event`.
   [[nodiscard]] static Op make_wait_marker(StreamId stream, EventId event);

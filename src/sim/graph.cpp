@@ -154,6 +154,15 @@ TaskGraph::Exec TaskGraph::instantiate(GpuRuntime& rt) const {
     if (lane < 0) lane = lanes++;
     exec.assignment_[static_cast<std::size_t>(v)] = lane;
   }
+  exec.needs_event_.assign(n, false);
+  for (const Node& node : nodes_) {
+    for (NodeId dep : node.deps) {
+      if (exec.assignment_[static_cast<std::size_t>(dep)] !=
+          exec.assignment_[static_cast<std::size_t>(node.id)]) {
+        exec.needs_event_[static_cast<std::size_t>(dep)] = true;
+      }
+    }
+  }
   exec.streams_.resize(static_cast<std::size_t>(lanes), kInvalidStream);
   for (auto& s : exec.streams_) s = rt.create_stream();
 
@@ -171,66 +180,56 @@ void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
     rt.replay(recorded_);
     return;
   }
-  const bool record = replay == TaskGraph::Replay::Recorded;
-  // Batched replay: everything below appends to one open submission and
-  // reaches the engine in a single transaction at commit. Joins an already
-  // open batch rather than nesting. Recording tees the same batched
-  // lowering into the Exec's submission.
-  const bool own_batch =
-      replay == TaskGraph::Replay::Batched && !rt.submitting();
-  if (record) {
-    rt.begin_record(recorded_);
-  } else if (own_batch) {
-    rt.begin_submit();
+  // Everything below appends to one batch and reaches the engine in a
+  // single transaction at its commit, joining an already open batch rather
+  // than nesting. The topo order about to be lowered IS the ready
+  // frontier: the residency planner future-scores admissions against it
+  // and prefetches ahead of the lowering.
+  GpuRuntime::BatchScope batch(rt);
+  if (batch.wants_frontier()) batch.announce(frontier(rt));
+  if (replay != TaskGraph::Replay::Recorded) {
+    lower_nodes(rt);
+    batch.close();
+    return;
   }
-  // The topo order about to be lowered IS the ready frontier: hand it to
-  // the residency planner so admissions are future-scored and prefetch can
-  // run ahead of the lowering. Skipped when the planner is disabled or
-  // already fed a wider frontier (a drained ingest batch).
-  const bool announced =
-      rt.lookahead() > 0 && !rt.memory().planner().active();
-  if (announced) {
-    std::vector<FrontierEntry> frontier;
-    frontier.reserve(topo_order_.size());
-    for (NodeId v : topo_order_) {
-      const Node& node = (*nodes_)[static_cast<std::size_t>(v)];
-      if (node.kind == NodeKind::Empty) continue;
-      FrontierEntry fe;
-      fe.device = rt.stream_device(stream_of(v));
-      if (node.kind == NodeKind::Kernel) {
-        for (const ArrayUse& use : node.spec.arrays) {
-          fe.arrays.push_back(use.id);
-        }
-      } else {
-        fe.arrays.push_back(node.array);
-      }
-      frontier.push_back(std::move(fe));
-    }
-    rt.announce_frontier(std::move(frontier));
-  }
-  // A throwing lowering (e.g. a node whose working set exceeds the
-  // device) must not leave the runtime recording into this Exec — the
-  // pointer would dangle past the Exec's lifetime and every later async
-  // call would tee into a half-built list. Detach and discard the partial
-  // recording; ops already issued stay in the open batch and flush at the
-  // next observation point (same recovery as an interrupted plain batch).
+  // Recording tees the same lowering into the Exec's submission. A
+  // throwing lowering (e.g. a node whose working set exceeds the device)
+  // must not leave the runtime recording into this Exec — the pointer
+  // would dangle past the Exec's lifetime and every later async call would
+  // tee into a half-built list. Detach and discard the partial recording;
+  // the batch scope commits the ops already issued.
+  rt.begin_record(recorded_);
   try {
     lower_nodes(rt);
   } catch (...) {
-    if (announced) rt.clear_frontier();
-    if (record) {
-      rt.abort_record();
-      recorded_.clear();
-    }
+    rt.end_record();
+    recorded_.clear();
     throw;
   }
-  if (announced) rt.clear_frontier();
-  if (record) {
-    rt.end_record();
-    recorded_valid_ = true;
-  } else if (own_batch) {
-    rt.commit();
+  rt.end_record();
+  batch.close();
+  recorded_valid_ = true;
+}
+
+std::vector<FrontierEntry> TaskGraph::Exec::frontier(
+    const GpuRuntime& rt) const {
+  std::vector<FrontierEntry> entries;
+  entries.reserve(topo_order_.size());
+  for (NodeId v : topo_order_) {
+    const Node& node = (*nodes_)[static_cast<std::size_t>(v)];
+    if (node.kind == NodeKind::Empty) continue;
+    FrontierEntry fe;
+    fe.device = rt.stream_device(stream_of(v));
+    if (node.kind == NodeKind::Kernel) {
+      for (const ArrayUse& use : node.spec.arrays) {
+        fe.arrays.push_back(use.id);
+      }
+    } else {
+      fe.arrays.push_back(node.array);
+    }
+    entries.push_back(std::move(fe));
   }
+  return entries;
 }
 
 void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {
@@ -259,16 +258,7 @@ void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {
         break;
     }
     // Record a completion event if any child lives on another stream.
-    bool needs_event = false;
-    for (const Node& other : nodes) {
-      if (std::find(other.deps.begin(), other.deps.end(), v) !=
-              other.deps.end() &&
-          stream_of(other.id) != stream) {
-        needs_event = true;
-        break;
-      }
-    }
-    if (needs_event) {
+    if (needs_event_[static_cast<std::size_t>(v)]) {
       const EventId e = rt.create_event();
       rt.record_event(e, stream);
       done_event[static_cast<std::size_t>(v)] = e;

@@ -66,9 +66,6 @@ class TaskGraph {
     /// The whole graph — kernels, staged migrations, event edges — lowers
     /// into one runtime transaction, like a single cudaGraphLaunch call.
     Batched,
-    /// Node-by-node replay through the per-call API (kept for batched /
-    /// per-call equivalence tests and host-overhead cost studies).
-    PerCall,
     /// First launch runs the batched path while recording the lowered op
     /// list into the Exec; every later launch re-commits that recorded
     /// list verbatim — no re-validation, no re-lowering, no reallocation
@@ -98,11 +95,18 @@ class TaskGraph {
 
    private:
     friend class TaskGraph;
+    /// The ready frontier of one launch: the non-empty nodes' working
+    /// sets in topo order.
+    [[nodiscard]] std::vector<FrontierEntry> frontier(
+        const GpuRuntime& rt) const;
     /// Replay every node through the runtime (the body of launch()).
     void lower_nodes(GpuRuntime& rt);
     std::shared_ptr<const std::vector<Node>> nodes_;
     std::vector<NodeId> topo_order_;
     std::vector<int> assignment_;    // node -> index into streams_
+    /// node -> a child lives on another stream: the node records a
+    /// completion event at every launch.
+    std::vector<bool> needs_event_;
     std::vector<StreamId> streams_;  // internal streams (created on demand)
     Submission recorded_;            // Replay::Recorded capture
     bool recorded_valid_ = false;

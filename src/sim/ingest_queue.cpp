@@ -139,24 +139,25 @@ bool IngestService::on_ingest_thread() const {
 
 IngestStats IngestService::stats() const {
   IngestStats out;
-  for (const auto& s : shards_) {
-    out.items += s->items.load(std::memory_order_relaxed);
-    out.batches += s->batches.load(std::memory_order_relaxed);
-    out.ops += s->ops.load(std::memory_order_relaxed);
-    out.clamped += s->clamped.load(std::memory_order_relaxed);
-    out.errors += s->errors.load(std::memory_order_relaxed);
-    out.rejected += s->rejected.load(std::memory_order_relaxed);
-    out.deferred += s->deferred.load(std::memory_order_relaxed);
+  for (int i = 0; i < shards_count_; ++i) {
+    const IngestStats s = shard_stats(i);
+    out.items += s.items;
+    out.batches += s.batches;
+    out.ops += s.ops;
+    out.clamped += s.clamped;
+    out.errors += s.errors;
+    out.rejected += s.rejected;
+    out.deferred += s.deferred;
   }
   return out;
 }
 
-IngestShardStats IngestService::shard_stats(int shard) const {
+IngestStats IngestService::shard_stats(int shard) const {
   if (shard < 0 || shard >= shards_count_) {
     throw ApiError("shard_stats: invalid shard " + std::to_string(shard));
   }
   const Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  IngestShardStats out;
+  IngestStats out;
   out.items = s.items.load(std::memory_order_relaxed);
   out.batches = s.batches.load(std::memory_order_relaxed);
   out.ops = s.ops.load(std::memory_order_relaxed);
@@ -263,39 +264,23 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   // explicit batch open — then items fold into that batch and tokens
   // promise ingestion only (commit timing belongs to the batch owner).
   std::exception_ptr batch_error;
-  bool own_batch = false;
   const long ops_before = rt.batched_ops();
   try {
-    if (!rt.submitting()) {
-      rt.begin_submit();
-      own_batch = true;
+    GpuRuntime::BatchScope bracket(rt);
+    // Hand the whole drained batch to the residency planner: the Replay
+    // items' recorded working sets, concatenated in pop order, are the
+    // ready frontier this batch is about to execute — so each replay's
+    // residency planning scores victims against the entire batch, not
+    // just its own list.
+    if (bracket.wants_frontier()) {
+      std::vector<FrontierEntry> frontier;
+      for (const Item* it : batch) {
+        if (it->kind != Item::Kind::Replay || it->replay == nullptr) continue;
+        const auto& ws = it->replay->working_sets();
+        frontier.insert(frontier.end(), ws.begin(), ws.end());
+      }
+      bracket.announce(std::move(frontier));
     }
-  } catch (...) {
-    batch_error = std::current_exception();
-  }
-
-  // Hand the whole drained batch to the residency planner: the Replay
-  // items' recorded working sets, concatenated in pop order, are the ready
-  // frontier this batch is about to execute — so each replay's residency
-  // planning scores victims against the entire batch, not just its own
-  // list. Skipped when the planner is disabled, already fed a frontier, or
-  // the batch carries no annotated replays.
-  bool announced = false;
-  if (batch_error == nullptr && rt.lookahead() > 0 &&
-      !rt.memory().planner().active()) {
-    std::vector<FrontierEntry> frontier;
-    for (const Item* it : batch) {
-      if (it->kind != Item::Kind::Replay || it->replay == nullptr) continue;
-      const auto& ws = it->replay->working_sets();
-      frontier.insert(frontier.end(), ws.begin(), ws.end());
-    }
-    if (!frontier.empty()) {
-      rt.announce_frontier(std::move(frontier));
-      announced = true;
-    }
-  }
-
-  if (batch_error == nullptr) {
     for (Item* it : batch) {
       try {
         switch (it->kind) {
@@ -336,14 +321,9 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
       }
     }
     rt.set_active_tenant(ambient);
-    if (announced) rt.clear_frontier();
-    if (own_batch) {
-      try {
-        rt.commit();
-      } catch (...) {
-        batch_error = std::current_exception();
-      }
-    }
+    bracket.close();
+  } catch (...) {
+    batch_error = std::current_exception();
   }
 
   s.ops.fetch_add(rt.batched_ops() - ops_before, std::memory_order_relaxed);
@@ -377,6 +357,19 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
                      std::memory_order_acq_rel);
 }
 
+bool IngestService::drain_next(Shard& s, std::vector<Item*>& batch) {
+  const auto gate = rt_->api_guard();
+  batch.clear();
+  while (batch.size() < cfg_.max_batch) {
+    Item* it = pop(s);
+    if (it == nullptr) break;
+    batch.push_back(it);
+  }
+  if (batch.empty()) return false;
+  drain_batch(s, batch);
+  return true;
+}
+
 void IngestService::run_shard(Shard& s) {
   tl_ingest_service = this;
   std::vector<Item*> batch;
@@ -393,23 +386,9 @@ void IngestService::run_shard(Shard& s) {
       s.sleeping.store(false, std::memory_order_relaxed);
       continue;
     }
-    bool progressed = false;
-    {
-      const auto gate = rt_->api_guard();
-      batch.clear();
-      while (batch.size() < cfg_.max_batch) {
-        Item* it = pop(s);
-        if (it == nullptr) break;
-        batch.push_back(it);
-      }
-      if (!batch.empty()) {
-        drain_batch(s, batch);
-        progressed = true;
-      }
-    }
     // Nothing popped despite queued > 0: a helping flusher beat us to the
     // items, or a producer is mid-link. Either resolves imminently.
-    if (!progressed) std::this_thread::yield();
+    if (!drain_next(s, batch)) std::this_thread::yield();
   }
   tl_ingest_service = nullptr;
 }
@@ -418,21 +397,7 @@ void IngestService::help_drain(Shard& s) {
   std::vector<Item*> batch;
   batch.reserve(cfg_.max_batch);
   while (s.queued.load(std::memory_order_acquire) != 0) {
-    bool progressed = false;
-    {
-      const auto gate = rt_->api_guard();
-      batch.clear();
-      while (batch.size() < cfg_.max_batch) {
-        Item* it = pop(s);
-        if (it == nullptr) break;
-        batch.push_back(it);
-      }
-      if (!batch.empty()) {
-        drain_batch(s, batch);
-        progressed = true;
-      }
-    }
-    if (!progressed) std::this_thread::yield();
+    if (!drain_next(s, batch)) std::this_thread::yield();
   }
 }
 

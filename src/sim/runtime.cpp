@@ -126,11 +126,12 @@ void GpuRuntime::note_api_call() {
   if (!batch_open_) engine_.advance_to(host_now_);
 }
 
-void GpuRuntime::flush_submission() {
-  if (!engine_.in_transaction()) return;
+std::size_t GpuRuntime::flush_submission() {
+  if (!engine_.in_transaction()) return 0;
   const std::size_t n = engine_.commit_transaction();
   batched_ops_ += static_cast<long>(n);
   ++batch_commits_;
+  return n;
 }
 
 OpId GpuRuntime::issue_op(Op op, Submission::BindFn bind) {
@@ -191,51 +192,40 @@ std::size_t GpuRuntime::end_record() {
   return 0;
 }
 
-void GpuRuntime::abort_record() {
-  const auto gate = api_guard();
-  record_ = nullptr;
-  if (record_owns_batch_) {
-    record_owns_batch_ = false;
-    // Close the batch begin_record opened: the ops lowered before the
-    // failure are real and already ingested, so commit them and return
-    // the runtime to per-call mode. A batch someone else opened is theirs
-    // to close.
-    if (batch_open_) commit();
-  }
-}
-
 std::size_t GpuRuntime::replay(const Submission& sub) {
   const auto gate = api_guard();
   if (capture_ != nullptr) throw ApiError("replay: capture active");
   if (record_ != nullptr) throw ApiError("replay: recording active");
   // One driver call relaunches the whole recorded list.
   host_now_ += kLaunchCpuOverheadUs;
+  BatchScope batch(*this);
+  // The recorded list is its own ready frontier (unless a wider one — a
+  // drained ingest batch spanning several replays — is already active).
+  if (batch.wants_frontier()) batch.announce(sub.working_sets());
   replay_admit(sub);
-  if (batch_open_) {
-    // Join an open batch instead of force-flushing it: the recorded items
-    // ingest into the open transaction and start at the batch's commit,
-    // exactly like a Batched graph launch joining the batch. The flush at
-    // the next observation point accounts the ops.
+  std::size_t n = 0;
+  if (batch.owns() && !engine_.in_transaction()) {
+    // A standalone relaunch commits the list as its own transaction, at
+    // the recorded host stamps.
+    n = engine_.commit(sub);
+    batched_ops_ += static_cast<long>(n);
+    ++batch_commits_;
+  } else {
+    // Join the open batch: the recorded items ingest into the open
+    // transaction and start at the batch's commit, exactly like a graph
+    // launch joining the batch.
     if (!engine_.in_transaction()) engine_.begin_transaction(host_now_);
-    return engine_.ingest(std::as_const(sub));
+    n = engine_.ingest(sub);
   }
-  const std::size_t n = engine_.commit(std::as_const(sub));
-  batched_ops_ += static_cast<long>(n);
-  ++batch_commits_;
-  engine_.advance_to(host_now_);
+  batch.close();
   return n;
 }
 
 void GpuRuntime::replay_admit(const Submission& sub) {
   ResidencyPlanner& planner = memory_.planner();
-  const std::vector<FrontierEntry>& ws = sub.working_sets();
-  if (ws.empty() || planner.horizon() == 0) return;
-  // The recorded list is its own ready frontier (unless a wider one — a
-  // drained ingest batch spanning several replays — is already active).
-  const bool own_frontier = !planner.active();
-  if (own_frontier) planner.announce(ws);
+  if (planner.horizon() == 0) return;
   const RecordSuspend no_tee(record_);
-  for (const FrontierEntry& fe : ws) {
+  for (const FrontierEntry& fe : sub.working_sets()) {
     // The entry's outstanding charge, deduped (freed ids cannot appear:
     // replay requires the recorded arrays alive).
     std::size_t needed = 0;
@@ -280,7 +270,6 @@ void GpuRuntime::replay_admit(const Submission& sub) {
     price_eviction(plan, service_stream(fe.device));
     planner.on_admitted(fe.arrays, fe.device);
   }
-  if (own_frontier) planner.clear();
 }
 
 void GpuRuntime::begin_submit() {
@@ -295,15 +284,52 @@ void GpuRuntime::begin_submit() {
 std::size_t GpuRuntime::commit() {
   const auto gate = api_guard();
   if (!batch_open_) throw ApiError("commit: no open batch");
-  std::size_t n = 0;
-  if (engine_.in_transaction()) {
-    n = engine_.commit_transaction();
-    batched_ops_ += static_cast<long>(n);
-    ++batch_commits_;
-  }
+  // Close the batch before the committing advance: a completion callback
+  // that throws there still leaves the runtime in per-call mode.
   batch_open_ = false;
+  const std::size_t n = flush_submission();
   engine_.advance_to(host_now_);
   return n;
+}
+
+GpuRuntime::BatchScope::BatchScope(GpuRuntime& rt) : rt_(rt) {
+  const auto gate = rt_.api_guard();
+  if (!rt_.batch_open_) {
+    rt_.begin_submit();
+    owns_ = true;
+  }
+}
+
+GpuRuntime::BatchScope::~BatchScope() {
+  try {
+    close();
+  } catch (...) {
+    // Destructors must not throw. On unwinding the original error is the
+    // one to report; the ops ingested before it are committed either way.
+  }
+}
+
+bool GpuRuntime::BatchScope::wants_frontier() const {
+  const auto gate = rt_.api_guard();
+  return rt_.lookahead() > 0 && !rt_.memory_.planner().active();
+}
+
+void GpuRuntime::BatchScope::announce(std::vector<FrontierEntry> entries) {
+  const auto gate = rt_.api_guard();
+  if (entries.empty() || !wants_frontier()) return;
+  rt_.announce_frontier(std::move(entries));
+  announced_ = true;
+}
+
+void GpuRuntime::BatchScope::close() {
+  if (announced_) {
+    announced_ = false;
+    rt_.clear_frontier();
+  }
+  if (owns_) {
+    owns_ = false;
+    rt_.commit();
+  }
 }
 
 void GpuRuntime::host_advance(TimeUs dt) {

@@ -36,15 +36,17 @@
 // an array while device ops on it are still pending means the caller failed
 // to synchronize — a correctness bug in the scheduler under test.
 //
-// Transactional submission: every engine mutation flows through an
-// engine-level Submission. The per-call API opens and commits an implicit
-// single-item transaction per call (behaviour identical to the historical
-// direct path); begin_submit()/commit() brackets an explicit batch in which
-// async calls append to one open submission — charged a reduced per-call
-// host cost — that reaches the engine as a single transaction. Blocking and
-// observing calls (synchronize_*, host_read/host_write, poll, stream_idle,
-// event_done, free_array) flush the open submission first, so batch
-// boundaries align with host observation points.
+// Submission paths: the per-call API enqueues each async call straight
+// into the engine and advances it to the host clock. begin_submit()/commit()
+// bracket an explicit batch instead: async calls ingest into one open
+// engine transaction (Engine::begin_transaction / commit_transaction) at a
+// reduced per-call host cost. BatchScope is the exception-safe form of
+// that bracket, and graph launches, ingest drains and recorded replays all
+// lower through it; a recorded Submission is an item list that replay()
+// re-commits. Blocking and observing calls (synchronize_*, host_read/
+// host_write, poll, stream_idle, event_done, free_array) commit the open
+// transaction first, so batch boundaries align with host observation
+// points.
 #pragma once
 
 #include <atomic>
@@ -217,6 +219,33 @@ class GpuRuntime {
   [[nodiscard]] long batch_commits() const { return batch_commits_; }
   [[nodiscard]] long batched_ops() const { return batched_ops_; }
 
+  /// The one batch bracket multi-call front-ends lower through (graph
+  /// launches, ingest drains, recorded replays). Joins the open batch or
+  /// opens one (owns()). announce() hands the residency planner a ready
+  /// frontier when lookahead() > 0 and no frontier is active. close() —
+  /// and the destructor on every other exit, unwinding included — clears
+  /// that frontier first, then commits the batch if the scope owns it.
+  /// close() lets a commit error propagate; the destructor swallows it.
+  class BatchScope {
+   public:
+    explicit BatchScope(GpuRuntime& rt);
+    ~BatchScope();
+    BatchScope(const BatchScope&) = delete;
+    BatchScope& operator=(const BatchScope&) = delete;
+
+    /// True when announce() would take a frontier: build one only then.
+    [[nodiscard]] bool wants_frontier() const;
+    /// Announce `entries` (ignored unless wants_frontier(), or if empty).
+    void announce(std::vector<FrontierEntry> entries);
+    [[nodiscard]] bool owns() const { return owns_; }
+    void close();
+
+   private:
+    GpuRuntime& rt_;
+    bool owns_ = false;
+    bool announced_ = false;
+  };
+
   // --- recorded submissions (replayable; see TaskGraph::Replay::Recorded) --
   /// Tee every subsequent async call into `sub` *in addition to* normal
   /// execution (a batch is opened if none is). The recorded list can then
@@ -227,11 +256,6 @@ class GpuRuntime {
   /// Stop recording; commits the batch begin_record opened (if it opened
   /// one) and returns the ops that batch carried.
   std::size_t end_record();
-  /// Abandon an active recording (exception-safety path): detaches the
-  /// recording target and, if begin_record opened the batch, commits it —
-  /// ops already issued are real and the runtime returns to per-call
-  /// mode. The caller discards the partial recording (Submission::clear).
-  void abort_record();
   [[nodiscard]] bool recording() const { return record_ != nullptr; }
   /// Re-commit a previously recorded submission as one engine transaction
   /// (one driver-call host charge). The recorded ops replay verbatim —
@@ -373,8 +397,9 @@ class GpuRuntime {
   /// active.
   void run_prefetch_pass();
   /// Residency planning at replay: re-admit each annotated working set
-  /// (future-scored against the whole recorded list, early page-outs on
-  /// the service stream) so replayed launches find their pages charged.
+  /// (future-scored against the announced frontier — the recorded list
+  /// itself unless a wider one is active — early page-outs on the service
+  /// stream) so replayed launches find their pages charged.
   /// No prefetch transfers are issued — the recorded fault ops are the
   /// static data movement. Skips never-evicted under-capacity devices
   /// outright, keeping such replays bit-identical (stamps included).
@@ -401,9 +426,10 @@ class GpuRuntime {
   /// the engine up to date in per-call mode.
   void note_api_call();
   /// Commit the open engine transaction, if any (keeps an explicit batch
-  /// open — the next async call reopens lazily). Called by every blocking
-  /// / observing entry, so batch boundaries align with host observations.
-  void flush_submission();
+  /// open — the next async call reopens lazily); returns the ops it
+  /// carried. Called by every blocking / observing entry, so batch
+  /// boundaries align with host observations.
+  std::size_t flush_submission();
   /// Route one op enqueue through the current transaction: an implicit
   /// single-op transaction per call, or an ingest into the open batch.
   /// `bind` runs with the assigned id before the op can start.

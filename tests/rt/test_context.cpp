@@ -469,13 +469,12 @@ TEST(Context, LibraryFunctionWithoutStreamsIsSynchronous) {
 }
 
 TEST(Context, BatchedSubmitMatchesPerCallResults) {
-  // The batched submission path (one engine transaction per DAG level)
+  // A context inside an explicit runtime batch (one engine transaction
+  // per DAG level: the runtime commits at every host observation point)
   // must be functionally indistinguishable from per-call issue: same
   // results, same byte counters, same dependency structure.
   auto run = [](bool batched) {
-    Options opts;
-    opts.batch_submit = batched;
-    Fixture f(opts);
+    Fixture f;
     auto& ctx = *f.ctx;
     auto a = ctx.array<float>(4096, "a");
     auto b = ctx.array<float>(4096, "b");
@@ -483,6 +482,7 @@ TEST(Context, BatchedSubmitMatchesPerCallResults) {
     auto init = ctx.build_kernel("init", "pointer, sint32, float");
     auto add2 = ctx.build_kernel(
         "add2", "const pointer, const pointer, pointer, sint32");
+    if (batched) f.gpu->begin_submit();
     init(4, 64)(a, 4096L, 2.0);
     init(4, 64)(b, 4096L, 5.0);
     add2(4, 64)(a, b, out, 4096L);
@@ -496,6 +496,7 @@ TEST(Context, BatchedSubmitMatchesPerCallResults) {
         ctx.stats().edges,
         ctx.stats().batch_commits,
         ctx.stats().batched_ops};
+    if (batched) f.gpu->commit();
     return r;
   };
   const auto per_call = run(false);
@@ -514,19 +515,19 @@ TEST(Context, BatchedSubmitFlushesAtHostReads) {
   // A host read inside a batched program is a host observation point: the
   // open transaction flushes, the read sees the finished value, and later
   // submissions batch again.
-  Options opts;
-  opts.batch_submit = true;
-  Fixture f(opts);
+  Fixture f;
   auto& ctx = *f.ctx;
   auto a = ctx.array<float>(4096, "a");
   auto init = ctx.build_kernel("init", "pointer, sint32, float");
   auto scale = ctx.build_kernel("scale", "pointer, sint32, float");
+  f.gpu->begin_submit();
   init(4, 64)(a, 4096L, 3.0);
   EXPECT_DOUBLE_EQ(a.get(5), 3.0);  // flush + sync of the producer
   scale(4, 64)(a, 4096L, 2.0);
   ctx.synchronize();
   EXPECT_DOUBLE_EQ(a.get(5), 7.0);  // 3*2 + 1
   EXPECT_GE(ctx.stats().batch_commits, 2);
+  f.gpu->commit();
 }
 
 TEST(Context, TenantedContextsShareOneRuntimeWithAttribution) {

@@ -223,18 +223,18 @@ TEST(MultiGpu, PerDeviceMemoryCountersTrackResidency) {
 }
 
 TEST(MultiGpu, BatchedContextMatchesPerCallResults) {
-  // The same multi-GPU program through the per-call and the batched
-  // submission path: identical functional results, byte counters, and
-  // placement; the batched run commits through engine transactions.
+  // The same multi-GPU program per call and inside an explicit runtime
+  // batch: identical functional results, byte counters, and placement;
+  // the batched run commits through engine transactions.
   auto run = [](bool batched) {
     Options opts;
     opts.device_policy = DevicePolicy::RoundRobin;
-    opts.batch_submit = batched;
     Fixture f(opts, two_gpus());
     auto& ctx = *f.ctx;
     auto x = ctx.array<float>(kN, "x");
     auto r1 = ctx.array<float>(kN, "r1");
     auto r2 = ctx.array<float>(kN, "r2");
+    if (batched) f.gpu->begin_submit();
     launch_init(ctx, x, 3);
     auto affine =
         ctx.build_kernel("affine", "const pointer, pointer, sint32");
@@ -245,6 +245,7 @@ TEST(MultiGpu, BatchedContextMatchesPerCallResults) {
       double r1v, r2v, p2p;
       long batch_commits;
     } r{r1.get(7), r2.get(7), f.gpu->bytes_p2p(), ctx.stats().batch_commits};
+    if (batched) f.gpu->commit();
     return r;
   };
   const auto per_call = run(false);

@@ -1,5 +1,6 @@
 // GpuRuntime transactional batch API: begin_submit/commit semantics,
-// implicit flushes at host observation points, batched TaskGraph replay,
+// implicit flushes at host observation points, the BatchScope bracket,
+// batched TaskGraph launches,
 // and per-device residency accounting surfaced by the runtime.
 #include <gtest/gtest.h>
 
@@ -73,6 +74,79 @@ TEST_F(BatchRuntimeTest, BlockingCallsFlushTheOpenBatch) {
   EXPECT_EQ(rt_.batch_commits(), 2);  // implicit flush + explicit commit
 }
 
+// --- BatchScope: the shared join-or-own bracket ---
+
+TEST_F(BatchRuntimeTest, ScopeOwnsAndCommitsWhenNoBatchIsOpen) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  OpId k = kInvalidOp;
+  {
+    GpuRuntime::BatchScope batch(rt_);
+    EXPECT_TRUE(batch.owns());
+    EXPECT_TRUE(rt_.submitting());
+    k = rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
+    EXPECT_EQ(rt_.engine().op(k).state, OpState::Queued);  // frozen
+  }
+  EXPECT_FALSE(rt_.submitting());
+  EXPECT_EQ(rt_.batch_commits(), 1);
+  rt_.synchronize_device();
+  EXPECT_TRUE(rt_.engine().op_done(k));
+}
+
+TEST_F(BatchRuntimeTest, ScopeJoinsAnOpenBatchWithoutCommitting) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  rt_.begin_submit();
+  {
+    GpuRuntime::BatchScope batch(rt_);
+    EXPECT_FALSE(batch.owns());
+    rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
+    batch.close();
+  }
+  EXPECT_TRUE(rt_.submitting());  // the batch belongs to its opener
+  EXPECT_EQ(rt_.batch_commits(), 0);
+  EXPECT_EQ(rt_.commit(), 1u);
+}
+
+TEST_F(BatchRuntimeTest, ScopeClearsItsFrontierAndCommitsOnUnwinding) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  const ArrayId b = rt_.alloc(1000, "b");
+  const ResidencyPlanner& planner = rt_.memory().planner();
+  rt_.set_lookahead(0);
+  {
+    GpuRuntime::BatchScope batch(rt_);
+    EXPECT_FALSE(batch.wants_frontier());  // planning off
+  }
+  rt_.set_lookahead(2);
+  EXPECT_THROW(
+      {
+        GpuRuntime::BatchScope batch(rt_);
+        EXPECT_TRUE(batch.wants_frontier());
+        batch.announce({{kDefaultDevice, {a}}, {kDefaultDevice, {b}}});
+        rt_.launch(kDefaultStream, simple_kernel("k", {{a, true}}));
+        EXPECT_TRUE(planner.active());  // `b` is still ahead
+        throw ApiError("lowering failed");
+      },
+      ApiError);
+  EXPECT_FALSE(planner.active());
+  EXPECT_FALSE(rt_.submitting());
+  EXPECT_EQ(rt_.batch_commits(), 1);  // the ingested launch only
+}
+
+TEST_F(BatchRuntimeTest, ScopeLeavesAWiderFrontierInPlace) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  const ArrayId b = rt_.alloc(1000, "b");
+  rt_.set_lookahead(2);
+  rt_.announce_frontier({{kDefaultDevice, {a}}, {kDefaultDevice, {b}}});
+  {
+    GpuRuntime::BatchScope batch(rt_);
+    EXPECT_FALSE(batch.wants_frontier());
+    batch.announce({{kDefaultDevice, {b}}});  // not taken
+    batch.close();
+  }
+  EXPECT_TRUE(rt_.memory().planner().active());
+  EXPECT_EQ(rt_.memory().planner().frontier_remaining(), 2u);
+  rt_.clear_frontier();
+}
+
 TEST_F(BatchRuntimeTest, BatchedRunMatchesPerCallStructureAndBytes) {
   // The same two-stream program driven per-call and batched: identical op
   // sequence (kinds, names, streams), identical byte counters; the batched
@@ -134,25 +208,48 @@ TEST_F(BatchRuntimeTest, BatchBracketMisuseThrows) {
 
 // --- batched TaskGraph replay ---
 
-TEST_F(BatchRuntimeTest, GraphReplayModesAgreeOnStructureAndBytes) {
-  auto run_graph = [](TaskGraph::Replay replay) {
+TEST_F(BatchRuntimeTest, GraphLaunchMatchesPerCallStructureAndBytes) {
+  // A graph launch (one transaction) against the same lowering issued
+  // node by node through the per-call API on the Exec's streams.
+  auto run = [](bool graph_launch) {
     GpuRuntime rt(DeviceSpec::test_device());
     const ArrayId a = rt.alloc(10000, "a");
     const ArrayId b = rt.alloc(10000, "b");
     rt.host_write(a);
     rt.host_write(b);
+    const LaunchSpec root_k = simple_kernel("root", {{a, true}});
+    const LaunchSpec left_k = simple_kernel("left", {{a, false}});
+    const LaunchSpec right_k = simple_kernel("right", {{b, true}});
+    const LaunchSpec join_k =
+        simple_kernel("join", {{a, false}, {b, false}});
     TaskGraph g;
-    const auto root = g.add_kernel(simple_kernel("root", {{a, true}}));
-    const auto left = g.add_kernel(simple_kernel("left", {{a, false}}));
-    const auto right = g.add_kernel(simple_kernel("right", {{b, true}}));
-    const auto join =
-        g.add_kernel(simple_kernel("join", {{a, false}, {b, false}}));
+    const auto root = g.add_kernel(root_k);
+    const auto left = g.add_kernel(left_k);
+    const auto right = g.add_kernel(right_k);
+    const auto join = g.add_kernel(join_k);
     g.add_dependency(root, left);
     g.add_dependency(root, right);
     g.add_dependency(left, join);
     g.add_dependency(right, join);
     auto exec = g.instantiate(rt);
-    exec.launch(rt, replay);
+    if (graph_launch) {
+      exec.launch(rt);
+    } else {
+      // root, left and join share a lane; right runs on its own.
+      const StreamId s0 = exec.stream_of(root);
+      const StreamId s1 = exec.stream_of(right);
+      rt.host_advance(TaskGraph::kLaunchUs);
+      rt.launch(s0, root_k);
+      const EventId root_done = rt.create_event();
+      rt.record_event(root_done, s0);
+      rt.launch(s0, left_k);
+      rt.stream_wait_event(s1, root_done);
+      rt.launch(s1, right_k);
+      const EventId right_done = rt.create_event();
+      rt.record_event(right_done, s1);
+      rt.stream_wait_event(s0, right_done);
+      rt.launch(s0, join_k);
+    }
     rt.synchronize_device();
     struct Result {
       double makespan;
@@ -168,8 +265,8 @@ TEST_F(BatchRuntimeTest, GraphReplayModesAgreeOnStructureAndBytes) {
     }
     return r;
   };
-  const auto batched = run_graph(TaskGraph::Replay::Batched);
-  const auto per_call = run_graph(TaskGraph::Replay::PerCall);
+  const auto batched = run(true);
+  const auto per_call = run(false);
   EXPECT_EQ(batched.kernels, per_call.kernels);
   EXPECT_DOUBLE_EQ(batched.faulted, per_call.faulted);
   // One transaction per launch compresses per-node issue overhead.

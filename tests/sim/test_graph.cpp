@@ -354,6 +354,39 @@ TEST_F(GraphTest, FailedRecordingDetachesAndDiscards) {
   EXPECT_TRUE(ok_exec.has_recording());
 }
 
+TEST_F(GraphTest, FailedLaunchClosesItsBatch) {
+  // A default-mode launch whose lowering throws must not leak the batch
+  // it opened: the runtime is back in per-call mode afterwards, and the
+  // next launch opens and commits a batch of its own.
+  DeviceSpec spec = DeviceSpec::test_device();
+  spec.memory_bytes = 8000;
+  GpuRuntime rt{spec};
+  const ArrayId big = rt.alloc(16000, "big");
+  const ArrayId small = rt.alloc(1000, "small");
+  rt.host_write(big);
+  rt.host_write(small);
+  TaskGraph bad;
+  bad.add_kernel(kernel_spec("kb", {{big, true}}));
+  auto bad_exec = bad.instantiate(rt);
+  EXPECT_THROW(bad_exec.launch(rt), OutOfMemoryError);
+  EXPECT_FALSE(rt.submitting());
+
+  // Per-call mode: each launch pays the full driver-call cost.
+  const TimeUs t0 = rt.now();
+  rt.launch(kDefaultStream, kernel_spec("k1", {{small, true}}));
+  rt.launch(kDefaultStream, kernel_spec("k2", {{small, false}}));
+  EXPECT_DOUBLE_EQ(rt.now() - t0, 2 * GpuRuntime::kLaunchCpuOverheadUs);
+
+  TaskGraph ok;
+  ok.add_kernel(kernel_spec("ks", {{small, true}}));
+  auto ok_exec = ok.instantiate(rt);
+  const long commits = rt.batch_commits();
+  ok_exec.launch(rt);
+  EXPECT_EQ(rt.batch_commits(), commits + 1);
+  EXPECT_FALSE(rt.submitting());
+  rt.synchronize_device();
+}
+
 TEST_F(GraphTest, RecordedRelaunchJoinsAnOpenBatch) {
   // Like a Batched launch, a Recorded relaunch inside a user batch joins
   // it: the recording ingests into the open transaction and nothing is
