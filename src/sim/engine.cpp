@@ -1,9 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <tuple>
 
@@ -64,30 +62,8 @@ Engine::Engine(Machine machine)
   class_solves_.assign(static_cast<std::size_t>(num_classes_), 0);
   class_full_scans_.assign(static_cast<std::size_t>(num_classes_), 0);
   class_member_touches_.assign(static_cast<std::size_t>(num_classes_), 0);
-  class_solve_time_.assign(static_cast<std::size_t>(num_classes_), 0.0);
   copy_waiters_.resize(static_cast<std::size_t>(num_classes_));
-  if (const char* env = std::getenv("PSCHED_LEGACY_SOLVER");
-      env != nullptr && *env != '\0' && !(env[0] == '0' && env[1] == '\0')) {
-    solver_path_ = SolverPath::Legacy;
-  }
   streams_.emplace_back();  // default stream 0, device 0
-}
-
-void Engine::set_solver_path(SolverPath path) {
-  if (path == solver_path_) return;
-  solver_path_ = path;
-  // Leave the virtual-service regime cleanly (materialize progress at
-  // now_) and re-solve every populated class at the next advance, so the
-  // switch takes effect at the call like any other rate change. Entering
-  // Incremental, classes promote at the scan that re-solve performs.
-  for (int cls = 0; cls < num_classes_; ++cls) {
-    if (class_solver_[static_cast<std::size_t>(cls)].incremental) {
-      demote_class(cls);
-    }
-    if (!class_members_[static_cast<std::size_t>(cls)].empty()) {
-      mark_class_dirty(cls);
-    }
-  }
 }
 
 Engine::SolverClassStats Engine::class_solver_stats(DeviceId device,
@@ -101,7 +77,7 @@ Engine::SolverClassStats Engine::class_solver_stats(DeviceId device,
   }
   const auto cls = static_cast<std::size_t>(device * kSlotsPerDevice + slot);
   return {class_solves_[cls], class_full_scans_[cls],
-          class_member_touches_[cls], class_solve_time_[cls]};
+          class_member_touches_[cls]};
 }
 
 Engine::SolverClassStats Engine::link_solver_stats(DeviceId src,
@@ -112,7 +88,7 @@ Engine::SolverClassStats Engine::link_solver_stats(DeviceId src,
   const auto cls =
       static_cast<std::size_t>(p2p_base_ + src * num_devices() + dst);
   return {class_solves_[cls], class_full_scans_[cls],
-          class_member_touches_[cls], class_solve_time_[cls]};
+          class_member_touches_[cls]};
 }
 
 StreamId Engine::create_stream() { return create_stream(kDefaultDevice); }
@@ -227,26 +203,6 @@ const ResourceModel& Engine::model(DeviceId d) const {
     throw ApiError("model: invalid device " + std::to_string(d));
   }
   return models_[static_cast<std::size_t>(d)];
-}
-
-long Engine::class_solve_count(DeviceId device, OpKind kind) const {
-  if (!machine_.valid_device(device)) {
-    throw ApiError("class_solve_count: invalid device");
-  }
-  const int slot = slot_of(kind);
-  if (slot == kClassNone) {
-    throw ApiError("class_solve_count: op kind carries no per-device class");
-  }
-  return class_solves_[static_cast<std::size_t>(
-      device * kSlotsPerDevice + slot)];
-}
-
-long Engine::link_solve_count(DeviceId src, DeviceId dst) const {
-  if (!machine_.valid_device(src) || !machine_.valid_device(dst)) {
-    throw ApiError("link_solve_count: invalid device");
-  }
-  return class_solves_[static_cast<std::size_t>(
-      p2p_base_ + src * num_devices() + dst)];
 }
 
 EventId Engine::create_event() {
@@ -1033,8 +989,6 @@ void Engine::recompute_rates() {
     if (members.empty()) continue;
     ++solve_count_;
     ++class_solves_[static_cast<std::size_t>(cls)];
-    std::chrono::steady_clock::time_point t0;
-    if (solve_timing_) t0 = std::chrono::steady_clock::now();
 
     // Rates come from the class's compact demand data — kernels from the
     // SoA mirror, every transfer class from its member count — and
@@ -1067,20 +1021,13 @@ void Engine::recompute_rates() {
           if (g.n > 0) ++groups;
         }
         solved_ops_ += std::max<long>(groups, 1);
-        if (solve_timing_) {
-          const double us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-          class_solve_time_[static_cast<std::size_t>(cls)] += us;
-          solve_time_us_ += us;
-        }
         continue;
       }
       demote_class(cls);
     }
 
-    // Full scan: the legacy arithmetic, verbatim. Counted separately so
-    // the bench can prove scans are rare under churn.
+    // Full scan: fold and re-rate every member. Counted separately so the
+    // bench can prove scans are rare under churn.
     ++full_scan_count_;
     ++class_full_scans_[static_cast<std::size_t>(cls)];
     solved_ops_ += static_cast<long>(members.size());
@@ -1140,16 +1087,7 @@ void Engine::recompute_rates() {
     // Re-enter the virtual-service regime if this scan's rates sit on the
     // linear model (the scan just folded every remaining to now_, so the
     // finish index rebuilds exactly, rebased to V = 0).
-    if (solver_path_ == SolverPath::Incremental) {
-      try_promote_class(cls, kernel_class, share);
-    }
-    if (solve_timing_) {
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      class_solve_time_[static_cast<std::size_t>(cls)] += us;
-      solve_time_us_ += us;
-    }
+    try_promote_class(cls, kernel_class, share);
   }
   dirty_classes_.clear();
 }
@@ -1232,7 +1170,7 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
     return true;
   }
 
-  // Kernels: validity test of the linear regime. The legacy solve is
+  // Kernels: validity test of the linear regime. The full-scan solve is
   // exactly rate_i = C * w_i (C = utilization(total_fill) / total_fill)
   // while no member hits the 1.0 solo cap or the 1e-9 floor and DRAM
   // stays unsaturated (bw demand C * sum(bw * w) under the budget) — all
@@ -1284,9 +1222,9 @@ bool Engine::compute_group_rates(int cls, bool kernel_class, double share,
 void Engine::demote_class(int cls) {
   // Leave the virtual-service regime: materialize every member's progress
   // at now_ into the plain mirrors (one fold from its entry tag — not the
-  // repeated per-solve folds the legacy path would have run, but equal to
+  // repeated per-solve folds full scans would have run, but equal to
   // their telescoped sum up to rounding), stamp rates and predictions,
-  // and reset the fold timestamp so a legacy scan that follows folds
+  // and reset the fold timestamp so a full scan that follows folds
   // dt = 0.
   ClassSolver& sol = class_solver_[static_cast<std::size_t>(cls)];
   const auto& members = class_members_[static_cast<std::size_t>(cls)];
@@ -1334,7 +1272,7 @@ void Engine::demote_class(int cls) {
 
 void Engine::try_promote_class(int cls, bool kernel_class, double share) {
   // Called right after a full scan: remainings are folded to now_ and
-  // class_rate_ holds the exact legacy rates. Rebuild the aggregates and
+  // class_rate_ holds the exact scanned rates. Rebuild the aggregates and
   // groups exactly, derive the linear-model slopes, and only promote if
   // every member's scanned rate equals c_g * w_i — one verification pass
   // that subsumes every cap/floor/saturation/tenancy corner without

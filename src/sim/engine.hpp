@@ -295,22 +295,6 @@ class Engine {
   }
   [[nodiscard]] const ResourceModel& model(DeviceId d) const;
 
-  // --- solver path selection (legacy full-scan vs virtual-service) ---
-  /// The re-solve algorithm. Incremental (the default) keeps per-class
-  /// cumulative virtual service so a membership-count rate change touches
-  /// zero members; Legacy folds every member of a dirty class per solve —
-  /// the historical arithmetic, kept selectable so equivalence between the
-  /// two is provable (the `solver`-labeled tests run both and diff the
-  /// timelines). The PSCHED_LEGACY_SOLVER environment variable (non-empty,
-  /// not "0") selects Legacy at construction.
-  enum class SolverPath { Incremental, Legacy };
-  /// Switch solver paths mid-run: incremental classes are materialized to
-  /// plain progress mirrors (Legacy) or re-enter the virtual-service
-  /// regime at their next full scan (Incremental). Every populated class
-  /// is re-solved at the next advance.
-  void set_solver_path(SolverPath path);
-  [[nodiscard]] SolverPath solver_path() const { return solver_path_; }
-
   // --- solver-work introspection (tests, perf-regression ratchets) ---
   /// Number of per-class rate re-solve passes across all classes.
   [[nodiscard]] long solve_count() const { return solve_count_; }
@@ -322,7 +306,7 @@ class Engine {
   /// assigned). The virtual-service path exists to keep this flat as
   /// fan-in grows; the bench's solver-scaling gate rides on it.
   [[nodiscard]] long member_touch_count() const { return member_touches_; }
-  /// Full-scan re-solve passes (legacy arithmetic over every member):
+  /// Full-scan re-solve passes (every member folded and re-rated):
   /// solve_count() minus the incremental passes. Rare by design — only
   /// where rate *ratios* change (DRAM-saturation toggles, capped members,
   /// a class's first solve).
@@ -330,31 +314,20 @@ class Engine {
   [[nodiscard]] long incremental_solve_count() const {
     return solve_count_ - full_scan_count_;
   }
-  /// Per-class cumulative solver stats (solve passes, full scans, member
-  /// touches, cumulative solve time). Solve time is only accumulated while
-  /// set_solve_timing(true) — timing costs two clock reads per solve, so
-  /// it is opt-in; counts are always live.
+  /// Per-class cumulative solver stats: re-solve passes (membership churn
+  /// on another device must never bump a class's count), full member
+  /// scans among them, and the members those scans touched.
   struct SolverClassStats {
     long solves = 0;
     long full_scans = 0;
     long member_touches = 0;
-    double solve_time_us = 0;  ///< host time, only while timing enabled
   };
+  /// One device's class (Kernel / CopyH2D / CopyD2H / Fault).
   [[nodiscard]] SolverClassStats class_solver_stats(DeviceId device,
                                                     OpKind kind) const;
+  /// The directed peer-link class (src -> dst).
   [[nodiscard]] SolverClassStats link_solver_stats(DeviceId src,
                                                    DeviceId dst) const;
-  /// Enable/disable host-time accounting of each re-solve pass.
-  void set_solve_timing(bool on) { solve_timing_ = on; }
-  [[nodiscard]] bool solve_timing() const { return solve_timing_; }
-  /// Cumulative host time across all re-solves (us; only accumulated
-  /// while timing is enabled).
-  [[nodiscard]] double solve_time_us() const { return solve_time_us_; }
-  /// Re-solve passes of one device's class (Kernel / CopyH2D / CopyD2H /
-  /// Fault). Membership churn on another device must never bump this.
-  [[nodiscard]] long class_solve_count(DeviceId device, OpKind kind) const;
-  /// Re-solve passes of the directed peer-link class (src -> dst).
-  [[nodiscard]] long link_solve_count(DeviceId src, DeviceId dst) const;
   /// High-water mark of concurrently live (queued + running) ops — the
   /// slab's peak occupancy.
   [[nodiscard]] long peak_resident_ops() const { return peak_resident_; }
@@ -541,7 +514,7 @@ class Engine {
                            ClassSolver& sol);
   /// Leave the incremental regime: materialize every member's remaining
   /// work / rate / pred at now_ into the plain progress mirrors and set
-  /// class_since_ = now_, so the legacy scan that follows folds dt = 0.
+  /// class_since_ = now_, so the full scan that follows folds dt = 0.
   void demote_class(int cls);
   /// Attempt to enter the incremental regime right after a full scan (the
   /// scan just folded remainings to now_ and wrote exact rates): rebuild
@@ -722,10 +695,6 @@ class Engine {
   long full_scan_count_ = 0;
   std::vector<long> class_full_scans_;      ///< per-class full-scan passes
   std::vector<long> class_member_touches_;  ///< per-class scan touches
-  std::vector<double> class_solve_time_;    ///< per-class host us (opt-in)
-  double solve_time_us_ = 0;
-  bool solve_timing_ = false;
-  SolverPath solver_path_ = SolverPath::Incremental;
   long completed_count_ = 0;
   long stall_steps_ = 0;
   static constexpr long kStallLimit = 100'000;

@@ -171,15 +171,8 @@ TaskGraph::Exec TaskGraph::instantiate(GpuRuntime& rt) const {
   return exec;
 }
 
-void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
+void TaskGraph::Exec::launch(GpuRuntime& rt) {
   rt.host_advance(TaskGraph::kLaunchUs);
-  // Recorded relaunch: the first Recorded launch captured the lowered op
-  // list; later launches re-commit it verbatim as one transaction (sealed
-  // validation is skipped, the list is neither rebuilt nor reallocated).
-  if (replay == TaskGraph::Replay::Recorded && recorded_valid_) {
-    rt.replay(recorded_);
-    return;
-  }
   // Everything below appends to one batch and reaches the engine in a
   // single transaction at its commit, joining an already open batch rather
   // than nesting. The topo order about to be lowered IS the ready
@@ -187,52 +180,6 @@ void TaskGraph::Exec::launch(GpuRuntime& rt, TaskGraph::Replay replay) {
   // and prefetches ahead of the lowering.
   GpuRuntime::BatchScope batch(rt);
   if (batch.wants_frontier()) batch.announce(frontier(rt));
-  if (replay != TaskGraph::Replay::Recorded) {
-    lower_nodes(rt);
-    batch.close();
-    return;
-  }
-  // Recording tees the same lowering into the Exec's submission. A
-  // throwing lowering (e.g. a node whose working set exceeds the device)
-  // must not leave the runtime recording into this Exec — the pointer
-  // would dangle past the Exec's lifetime and every later async call would
-  // tee into a half-built list. Detach and discard the partial recording;
-  // the batch scope commits the ops already issued.
-  rt.begin_record(recorded_);
-  try {
-    lower_nodes(rt);
-  } catch (...) {
-    rt.end_record();
-    recorded_.clear();
-    throw;
-  }
-  rt.end_record();
-  batch.close();
-  recorded_valid_ = true;
-}
-
-std::vector<FrontierEntry> TaskGraph::Exec::frontier(
-    const GpuRuntime& rt) const {
-  std::vector<FrontierEntry> entries;
-  entries.reserve(topo_order_.size());
-  for (NodeId v : topo_order_) {
-    const Node& node = (*nodes_)[static_cast<std::size_t>(v)];
-    if (node.kind == NodeKind::Empty) continue;
-    FrontierEntry fe;
-    fe.device = rt.stream_device(stream_of(v));
-    if (node.kind == NodeKind::Kernel) {
-      for (const ArrayUse& use : node.spec.arrays) {
-        fe.arrays.push_back(use.id);
-      }
-    } else {
-      fe.arrays.push_back(node.array);
-    }
-    entries.push_back(std::move(fe));
-  }
-  return entries;
-}
-
-void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {
   const auto& nodes = *nodes_;
   // Per-launch events for cross-stream edges.
   std::vector<EventId> done_event(nodes.size(), kInvalidEvent);
@@ -264,6 +211,28 @@ void TaskGraph::Exec::lower_nodes(GpuRuntime& rt) {
       done_event[static_cast<std::size_t>(v)] = e;
     }
   }
+  batch.close();
+}
+
+std::vector<FrontierEntry> TaskGraph::Exec::frontier(
+    const GpuRuntime& rt) const {
+  std::vector<FrontierEntry> entries;
+  entries.reserve(topo_order_.size());
+  for (NodeId v : topo_order_) {
+    const Node& node = (*nodes_)[static_cast<std::size_t>(v)];
+    if (node.kind == NodeKind::Empty) continue;
+    FrontierEntry fe;
+    fe.device = rt.stream_device(stream_of(v));
+    if (node.kind == NodeKind::Kernel) {
+      for (const ArrayUse& use : node.spec.arrays) {
+        fe.arrays.push_back(use.id);
+      }
+    } else {
+      fe.arrays.push_back(node.array);
+    }
+    entries.push_back(std::move(fe));
+  }
+  return entries;
 }
 
 }  // namespace psched::sim

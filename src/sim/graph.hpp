@@ -61,37 +61,22 @@ class TaskGraph {
   void on_captured_wait_event(StreamId stream, EventId event);
   void on_captured_prefetch(StreamId stream, ArrayId array);
 
-  /// How a launch reaches the engine.
-  enum class Replay {
-    /// The whole graph — kernels, staged migrations, event edges — lowers
-    /// into one runtime transaction, like a single cudaGraphLaunch call.
-    Batched,
-    /// First launch runs the batched path while recording the lowered op
-    /// list into the Exec; every later launch re-commits that recorded
-    /// list verbatim — no re-validation, no re-lowering, no reallocation
-    /// on the submission path (CUDA Graphs' static relaunch). Staging
-    /// decisions are frozen at record time: keep the graph's arrays alive,
-    /// and pinned if the device is oversubscribed.
-    Recorded,
-  };
-
   /// Instantiated, executable graph bound to static internal streams.
   class Exec {
    public:
     /// Asynchronously replay all nodes; call runtime.synchronize_device()
-    /// (or sync the terminal streams) to wait for completion. The default
-    /// lowers the whole graph into one engine transaction; if the runtime
-    /// already has a batch open, the replay joins it instead of committing
-    /// its own.
-    void launch(GpuRuntime& rt, Replay replay = Replay::Batched);
+    /// (or sync the terminal streams) to wait for completion. The whole
+    /// graph — kernels, staged migrations, event edges — lowers into one
+    /// engine transaction, like a single cudaGraphLaunch call; if the
+    /// runtime already has a batch open, the launch joins it instead of
+    /// committing its own. Every launch creates fresh events for its
+    /// cross-stream edges, so back-to-back launches may overlap.
+    void launch(GpuRuntime& rt);
 
     [[nodiscard]] std::size_t num_streams_used() const { return streams_.size(); }
     [[nodiscard]] StreamId stream_of(NodeId n) const {
       return streams_[static_cast<std::size_t>(assignment_[static_cast<std::size_t>(n)])];
     }
-    /// The op list the first Recorded launch captured (empty before it).
-    [[nodiscard]] const Submission& recording() const { return recorded_; }
-    [[nodiscard]] bool has_recording() const { return recorded_valid_; }
 
    private:
     friend class TaskGraph;
@@ -99,8 +84,6 @@ class TaskGraph {
     /// sets in topo order.
     [[nodiscard]] std::vector<FrontierEntry> frontier(
         const GpuRuntime& rt) const;
-    /// Replay every node through the runtime (the body of launch()).
-    void lower_nodes(GpuRuntime& rt);
     std::shared_ptr<const std::vector<Node>> nodes_;
     std::vector<NodeId> topo_order_;
     std::vector<int> assignment_;    // node -> index into streams_
@@ -108,8 +91,6 @@ class TaskGraph {
     /// completion event at every launch.
     std::vector<bool> needs_event_;
     std::vector<StreamId> streams_;  // internal streams (created on demand)
-    Submission recorded_;            // Replay::Recorded capture
-    bool recorded_valid_ = false;
   };
 
   /// Validate (throws ApiError on cycles / bad edges) and bind to runtime.

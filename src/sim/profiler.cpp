@@ -33,29 +33,6 @@ HwMetrics Profiler::compute(const Timeline& timeline, const DeviceSpec& spec) {
   return m;
 }
 
-std::vector<SolverClassReport> Profiler::solver_report(const Engine& engine) {
-  std::vector<SolverClassReport> rows;
-  constexpr OpKind kSlotKinds[] = {OpKind::Kernel, OpKind::CopyH2D,
-                                   OpKind::CopyD2H, OpKind::Fault};
-  const int n = engine.num_devices();
-  for (DeviceId d = 0; d < n; ++d) {
-    for (const OpKind kind : kSlotKinds) {
-      const Engine::SolverClassStats s = engine.class_solver_stats(d, kind);
-      if (s.solves == 0 && s.full_scans == 0) continue;
-      rows.push_back({d, /*peer=*/-1, kind, s});
-    }
-  }
-  for (DeviceId src = 0; src < n; ++src) {
-    for (DeviceId dst = 0; dst < n; ++dst) {
-      if (src == dst) continue;
-      const Engine::SolverClassStats s = engine.link_solver_stats(src, dst);
-      if (s.solves == 0 && s.full_scans == 0) continue;
-      rows.push_back({src, dst, OpKind::CopyP2P, s});
-    }
-  }
-  return rows;
-}
-
 std::vector<QosTenantReport> Profiler::qos_report(const QosManager& qos) {
   std::vector<QosTenantReport> rows;
   const std::size_t n = qos.num_tenants();

@@ -28,16 +28,6 @@ struct HwMetrics {
   TimeUs kernel_busy_us = 0;
 };
 
-/// One populated solver class (device slot or peer link) and its
-/// cumulative re-solve cost counters, for the solver-scaling report
-/// below.
-struct SolverClassReport {
-  DeviceId device = kDefaultDevice;  ///< owning device (src for links)
-  DeviceId peer = -1;                ///< link destination; -1 for slots
-  OpKind kind = OpKind::Kernel;      ///< CopyP2P for link rows
-  Engine::SolverClassStats stats;
-};
-
 class QosManager;  // qos.hpp
 
 /// Per-tenant latency QoS row (completion-latency histogram percentiles
@@ -61,17 +51,6 @@ class Profiler {
   /// Aggregate counters over the run recorded in `timeline`.
   [[nodiscard]] static HwMetrics compute(const Timeline& timeline,
                                          const DeviceSpec& spec);
-
-  /// Per-class solver cost rows (classes that never solved are omitted):
-  /// how many re-solves each class ran, how many were full member scans
-  /// versus group-aggregate updates, how many members those scans
-  /// touched, and — when Engine::set_solve_timing(true) was on — the
-  /// cumulative host time spent solving. The diagnosable-without-a-
-  /// rebuild surface for solver-scaling regressions: a class whose
-  /// member_touches grows with op count has fallen off the
-  /// virtual-service path.
-  [[nodiscard]] static std::vector<SolverClassReport> solver_report(
-      const Engine& engine);
 
   /// Per-tenant latency QoS rows from an attached QosManager: the
   /// completion-latency histograms (p50/p99 since the last reset_stats),

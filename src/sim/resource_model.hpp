@@ -101,8 +101,8 @@ class ResourceModel {
   /// a weight-proportional share but can absorb at most cap[j]; a capped
   /// party's surplus re-fills over the rest instead of going idle.
   /// Writes budget (resized); `active` is caller-provided scratch. The
-  /// engine uses this for tenant budget splits — both the legacy
-  /// per-member path (apply_tenant_shares) and the virtual-service
+  /// engine uses this for tenant budget splits — both the per-member
+  /// full scan (apply_tenant_shares) and the virtual-service
   /// group-aggregate path share this exact arithmetic.
   static void water_fill_budgets(const std::vector<double>& weight,
                                  const std::vector<double>& cap, double total,

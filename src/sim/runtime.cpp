@@ -732,22 +732,9 @@ void GpuRuntime::note_host_access(ArrayId id, bool for_write) {
                    (!engine_.spec().page_fault_um && a.has_pending()));
   if (conflict) {
     ++hazards_;
-    if (strict_hazards_) {
-      throw ApiError("host access hazard: array '" + a.name +
-                     "' has pending device operations "
-                     "(missing synchronization)");
-    }
-    // Non-strict: block until the conflicting ops drain to preserve
-    // functional correctness.
-    auto drain = [this](std::unordered_set<OpId>& setref) {
-      while (!setref.empty()) {
-        const OpId pending = *setref.begin();
-        const TimeUs t = engine_.run_until_op_done(pending);
-        host_now_ = std::max(host_now_, t);
-      }
-    };
-    drain(a.pending_writes);
-    if (for_write || !engine_.spec().page_fault_um) drain(a.pending_reads);
+    throw ApiError("host access hazard: array '" + a.name +
+                   "' has pending device operations "
+                   "(missing synchronization)");
   }
 }
 

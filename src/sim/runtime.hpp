@@ -246,7 +246,7 @@ class GpuRuntime {
     bool announced_ = false;
   };
 
-  // --- recorded submissions (replayable; see TaskGraph::Replay::Recorded) --
+  // --- recorded submissions (replayable; IngestService::submit_replay) ---
   /// Tee every subsequent async call into `sub` *in addition to* normal
   /// execution (a batch is opened if none is). The recorded list can then
   /// be re-committed with replay() — repeatedly, without re-validation or
@@ -262,6 +262,13 @@ class GpuRuntime {
   /// staging decisions are NOT re-derived, matching CUDA Graphs' static
   /// replay — so keep the referenced arrays alive (and pinned, if the
   /// device is oversubscribed). Returns the number of ops committed.
+  ///
+  /// Precondition: the previous run of `sub` — the recording run or an
+  /// earlier replay — has passed its event waits. A replay re-records and
+  /// re-waits the recording's own EventIds, and the engine binds a wait to
+  /// whatever record its event holds when the wait reaches its stream head
+  /// (CUDA binds at the wait call), so two overlapping runs of a list with
+  /// a cross-stream edge can wait on each other's records and deadlock.
   std::size_t replay(const Submission& sub);
 
   // --- concurrent ingestion front-end (see sim/ingest_queue.hpp) ---
@@ -308,9 +315,8 @@ class GpuRuntime {
   [[nodiscard]] const DeviceSpec& spec(DeviceId d) const {
     return engine_.spec(d);
   }
+  /// Host accesses rejected with ApiError for racing pending device ops.
   [[nodiscard]] int hazard_count() const { return hazards_; }
-  /// Throw ApiError on host-access hazards instead of counting (default on).
-  void set_strict_hazards(bool strict) { strict_hazards_ = strict; }
   /// Total bytes moved per category (accounting for tests/reporting).
   [[nodiscard]] double bytes_h2d() const { return bytes_h2d_; }
   [[nodiscard]] double bytes_d2h() const { return bytes_d2h_; }
@@ -448,7 +454,6 @@ class GpuRuntime {
   long batched_ops_ = 0;
   TimeUs host_now_ = 0;
   int hazards_ = 0;
-  bool strict_hazards_ = true;
   double bytes_h2d_ = 0;
   double bytes_d2h_ = 0;
   double bytes_faulted_ = 0;

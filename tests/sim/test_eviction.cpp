@@ -162,7 +162,7 @@ TEST(Eviction, WritebacksRideTheD2hDmaClassAndGateTheFaultingOp) {
   rt.launch(kDefaultStream, kernel_spec("k1", {{victim, true}}));
   rt.synchronize_device();
   const long d2h_solves_before =
-      rt.engine().class_solve_count(0, OpKind::CopyD2H);
+      rt.engine().class_solver_stats(0, OpKind::CopyD2H).solves;
 
   rt.launch(kDefaultStream, kernel_spec("k2", {{incoming, false}}));
   rt.synchronize_device();
@@ -170,7 +170,7 @@ TEST(Eviction, WritebacksRideTheD2hDmaClassAndGateTheFaultingOp) {
   // The page-out is a real D2H op: it ran on the (device 0, CopyD2H)
   // class, it shows in the timeline, and the faulting kernel's migration
   // started only after the write-back drained.
-  EXPECT_GT(rt.engine().class_solve_count(0, OpKind::CopyD2H),
+  EXPECT_GT(rt.engine().class_solver_stats(0, OpKind::CopyD2H).solves,
             d2h_solves_before);
   EXPECT_EQ(rt.evict_ops(), 1);
   // The victim spans a single page (default 2 MiB granule), so the whole

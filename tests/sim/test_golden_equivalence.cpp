@@ -23,43 +23,16 @@
 namespace psched::sim::golden {
 namespace {
 
-constexpr double kAbsTol = 1e-6;
-constexpr double kRelTol = 1e-9;
 /// Measured 436 solved ops when the incremental solver landed (seed full
 /// re-solve: 4072). Headroom for legitimate model changes only.
 constexpr long kChurnSolvedOpsRatchet = 500;
 
-void expect_time_eq(TimeUs got, TimeUs want, const std::string& what) {
-  const double tol = std::max(kAbsTol, kRelTol * std::abs(want));
-  EXPECT_NEAR(got, want, tol) << what;
-}
-
-void compare(const GoldenRun& run, const Fixture& fix,
-             const std::string& name) {
-  expect_time_eq(run.makespan, fix.makespan, name + ": makespan");
-  ASSERT_EQ(run.entries.size(), fix.entries.size())
-      << name << ": timeline length diverged";
-  for (std::size_t i = 0; i < fix.entries.size(); ++i) {
-    const TimelineEntry& got = run.entries[i];
-    const TimelineEntry& want = fix.entries[i];
-    const std::string what =
-        name + ": entry " + std::to_string(i) + " (" + want.name + ")";
-    EXPECT_EQ(got.kind, want.kind) << what;
-    EXPECT_EQ(got.stream, want.stream) << what;
-    EXPECT_EQ(got.name, want.name) << what;
-    expect_time_eq(got.start, want.start, what + " start");
-    expect_time_eq(got.end, want.end, what + " end");
-  }
-}
-
 TEST(GoldenEquivalence, ContentionDag) {
-  const GoldenRun run = run_contention_scenario();
-  compare(run, load_fixture("contention_1k"), "contention_1k");
+  expect_matches_fixture(run_contention_scenario(), "contention_1k");
 }
 
 TEST(GoldenEquivalence, TransferChurnDag) {
-  const GoldenRun run = run_transfer_churn_scenario();
-  compare(run, load_fixture("transfer_churn"), "transfer_churn");
+  expect_matches_fixture(run_transfer_churn_scenario(), "transfer_churn");
 }
 
 class GoldenBenchmark
@@ -67,7 +40,7 @@ class GoldenBenchmark
 
 TEST_P(GoldenBenchmark, TimelineMatchesSeedEngine) {
   const std::string name = benchsuite::name(GetParam());
-  compare(run_benchmark_scenario(GetParam()), load_fixture(name), name);
+  expect_matches_fixture(run_benchmark_scenario(GetParam()), name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -184,11 +157,13 @@ TEST(SolverRegression, TransferChurnSolvesCollapse) {
 // ---------------------------------------------------------------------
 
 TEST(GoldenFixtures, DISABLED_Regenerate) {
-  for (const auto& [name, run] : run_all_scenarios()) {
-    write_fixture(name, run);
-    std::printf("wrote %s: %zu entries, makespan %.6f, solves %ld/%ld\n",
-                name.c_str(), run.entries.size(), run.makespan, run.solves,
-                run.solved_ops);
+  for (const auto& scenarios : {run_all_scenarios(), run_solver_scenarios()}) {
+    for (const auto& [name, run] : scenarios) {
+      write_fixture(name, run);
+      std::printf("wrote %s: %zu entries, makespan %.6f, solves %ld/%ld\n",
+                  name.c_str(), run.entries.size(), run.makespan, run.solves,
+                  run.solved_ops);
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "sim/graph.hpp"
 #include "sim/runtime.hpp"
@@ -55,6 +57,48 @@ TEST_F(GraphTest, ManualDiamondRespectsDependencies) {
   EXPECT_GE(k.at("right").start, k.at("root").end);
   EXPECT_GE(k.at("join").start, k.at("left").end);
   EXPECT_GE(k.at("join").start, k.at("right").end);
+}
+
+TEST_F(GraphTest, BackToBackDiamondLaunchesOverlapSafely) {
+  // Every launch creates fresh events for its cross-stream edges, so
+  // launches issued without a synchronize in between neither deadlock
+  // nor let one launch's join wait on another launch's branches only.
+  const ArrayId a = rt_.alloc(1000, "a");
+  TaskGraph g;
+  const auto root = g.add_kernel(kernel_spec("root", {{a, true}}));
+  const auto left = g.add_kernel(kernel_spec("left", {{a, false}}));
+  const auto right = g.add_kernel(kernel_spec("right", {{a, false}}));
+  const auto join = g.add_kernel(kernel_spec("join", {{a, true}}));
+  g.add_dependency(root, left);
+  g.add_dependency(root, right);
+  g.add_dependency(left, join);
+  g.add_dependency(right, join);
+  auto exec = g.instantiate(rt_);
+  ASSERT_NE(exec.stream_of(left), exec.stream_of(right));
+  constexpr int kLaunches = 3;
+  for (int i = 0; i < kLaunches; ++i) exec.launch(rt_);
+  rt_.synchronize_device();
+
+  // A node always runs on the same stream, and streams are FIFO: the
+  // i-th completion of a node name belongs to launch i.
+  std::map<std::string, std::vector<TimelineEntry>> runs;
+  int kernels = 0;
+  for (const auto& e : rt_.timeline().entries()) {
+    if (e.kind != OpKind::Kernel) continue;
+    ++kernels;
+    runs[e.name].push_back(e);
+  }
+  EXPECT_EQ(kernels, 4 * kLaunches);
+  for (const char* name : {"root", "left", "right", "join"}) {
+    ASSERT_EQ(runs[name].size(), static_cast<std::size_t>(kLaunches))
+        << name;
+  }
+  for (std::size_t i = 0; i < kLaunches; ++i) {
+    EXPECT_GE(runs["left"][i].start, runs["root"][i].end) << i;
+    EXPECT_GE(runs["right"][i].start, runs["root"][i].end) << i;
+    EXPECT_GE(runs["join"][i].start, runs["left"][i].end) << i;
+    EXPECT_GE(runs["join"][i].start, runs["right"][i].end) << i;
+  }
 }
 
 TEST_F(GraphTest, IndependentBranchesUseDistinctStreams) {
@@ -211,149 +255,6 @@ TEST_F(GraphTest, CaptureKeepsExplicitCopies) {
   EXPECT_DOUBLE_EQ(rt_.bytes_faulted(), 0);
 }
 
-// --- recorded replay (replayable submissions) ---------------------------
-
-TEST_F(GraphTest, RecordedReplayMatchesBatchedOnTheFirstLaunch) {
-  // The recording tees the batched lowering: first-launch timelines are
-  // identical between Replay::Batched and Replay::Recorded.
-  auto run = [](TaskGraph::Replay replay) {
-    GpuRuntime rt{DeviceSpec::test_device()};
-    const ArrayId a = rt.alloc(1000, "a");
-    const ArrayId b = rt.alloc(1000, "b");
-    rt.host_write(a);
-    TaskGraph g;
-    const auto root = g.add_kernel(kernel_spec("root", {{a, false}, {b, true}}));
-    const auto left = g.add_kernel(kernel_spec("left", {{b, false}}));
-    const auto right = g.add_kernel(kernel_spec("right", {{b, false}}));
-    g.add_dependency(root, left);
-    g.add_dependency(root, right);
-    auto exec = g.instantiate(rt);
-    exec.launch(rt, replay);
-    rt.synchronize_device();
-    return rt.timeline().entries();
-  };
-  const auto batched = run(TaskGraph::Replay::Batched);
-  const auto recorded = run(TaskGraph::Replay::Recorded);
-  ASSERT_EQ(batched.size(), recorded.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].name, recorded[i].name) << i;
-    EXPECT_EQ(batched[i].start, recorded[i].start) << i;
-    EXPECT_EQ(batched[i].end, recorded[i].end) << i;
-  }
-}
-
-TEST_F(GraphTest, RecordedRelaunchReusesTheRecordingAllocationFree) {
-  const ArrayId a = rt_.alloc(1000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  const auto k1 = g.add_kernel(kernel_spec("k1", {{a, true}}));
-  const auto k2 = g.add_kernel(kernel_spec("k2", {{a, false}}));
-  g.add_dependency(k1, k2);
-  auto exec = g.instantiate(rt_);
-
-  // First launch lowers and records.
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  ASSERT_TRUE(exec.has_recording());
-  const Submission& rec = exec.recording();
-  const void* buffer = rec.buffer_id();
-  const std::size_t items = rec.size();
-  EXPECT_GT(items, 0u);
-
-  // Later launches are allocation-free on the submission path: the
-  // recorded list is re-committed verbatim — not drained, not rebuilt,
-  // not reallocated — and no ids vector is returned. The first replay
-  // runs the one validation pass (sealing the list); the rest skip it.
-  for (int i = 0; i < 3; ++i) {
-    exec.launch(rt_, TaskGraph::Replay::Recorded);
-    rt_.synchronize_device();
-    EXPECT_EQ(rec.buffer_id(), buffer);
-    EXPECT_EQ(rec.size(), items);
-    EXPECT_TRUE(rec.sealed());
-    EXPECT_EQ(rec.validations(), 1);
-  }
-  int kernel_count = 0;
-  for (const auto& e : rt_.timeline().entries()) {
-    if (e.kind == OpKind::Kernel) ++kernel_count;
-  }
-  EXPECT_EQ(kernel_count, 8);  // 4 launches x 2 kernels
-}
-
-TEST_F(GraphTest, RecordedRelaunchReplaysMigrationsStatically) {
-  // CUDA Graphs' static replay: the migration recorded at first launch is
-  // re-issued on every relaunch even though the data is still resident —
-  // the recorded op list is frozen, not re-derived.
-  const ArrayId a = rt_.alloc(10000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  g.add_kernel(kernel_spec("k", {{a, false}}));
-  auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  int faults = 0;
-  for (const auto& e : rt_.timeline().entries()) {
-    if (e.kind == OpKind::Fault) ++faults;
-  }
-  EXPECT_EQ(faults, 2);
-}
-
-TEST_F(GraphTest, RecordedRelaunchReappliesWriteTransitions) {
-  // Replayed write-kernels re-invalidate host/peer copies (the residency
-  // transition lives in the recorded bind): a host read after every
-  // relaunch migrates the fresh result back, exactly like per-call issue.
-  const ArrayId a = rt_.alloc(10000, "a");
-  rt_.host_write(a);
-  TaskGraph g;
-  g.add_kernel(kernel_spec("k", {{a, true}}));
-  auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
-  rt_.synchronize_device();
-  rt_.host_read(a);
-  const double d2h_after_first = rt_.bytes_d2h();
-  EXPECT_GT(d2h_after_first, 0);
-
-  exec.launch(rt_, TaskGraph::Replay::Recorded);  // replay re-writes `a`
-  rt_.synchronize_device();
-  EXPECT_TRUE(rt_.memory().info(a).device_dirty);
-  rt_.host_read(a);  // must migrate the replayed result back
-  EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
-}
-
-TEST_F(GraphTest, FailedRecordingDetachesAndDiscards) {
-  // A lowering that throws mid-recording (single-op working set beyond
-  // device capacity) must leave the runtime not recording and the Exec
-  // without a half-built recording; the runtime stays usable.
-  DeviceSpec spec = DeviceSpec::test_device();
-  spec.memory_bytes = 8000;
-  GpuRuntime rt{spec};
-  const ArrayId big = rt.alloc(16000, "big");
-  const ArrayId small = rt.alloc(1000, "small");
-  rt.host_write(big);
-  rt.host_write(small);
-  TaskGraph bad;
-  bad.add_kernel(kernel_spec("kb", {{big, true}}));
-  auto bad_exec = bad.instantiate(rt);
-  EXPECT_THROW(bad_exec.launch(rt, TaskGraph::Replay::Recorded),
-               OutOfMemoryError);
-  EXPECT_FALSE(rt.recording());
-  EXPECT_FALSE(bad_exec.has_recording());
-  EXPECT_TRUE(bad_exec.recording().empty());
-  // The batch the recording opened was closed too: the runtime is back in
-  // per-call mode and an explicit batch can be opened normally.
-  EXPECT_FALSE(rt.submitting());
-  rt.begin_submit();
-  rt.commit();
-
-  TaskGraph ok;
-  ok.add_kernel(kernel_spec("ks", {{small, true}}));
-  auto ok_exec = ok.instantiate(rt);
-  ok_exec.launch(rt, TaskGraph::Replay::Recorded);
-  rt.synchronize_device();
-  EXPECT_TRUE(ok_exec.has_recording());
-}
-
 TEST_F(GraphTest, FailedLaunchClosesItsBatch) {
   // A default-mode launch whose lowering throws must not leak the batch
   // it opened: the runtime is back in per-call mode afterwards, and the
@@ -387,22 +288,146 @@ TEST_F(GraphTest, FailedLaunchClosesItsBatch) {
   rt.synchronize_device();
 }
 
+// --- recorded replay (GpuRuntime::begin_record / replay) ----------------
+
+/// Launch `exec` once while the runtime records the lowered op list into
+/// `rec`, for GpuRuntime::replay to re-commit verbatim.
+void record_launch(GpuRuntime& rt, TaskGraph::Exec& exec, Submission& rec) {
+  rt.begin_record(rec);
+  exec.launch(rt);
+  rt.end_record();
+}
+
+TEST_F(GraphTest, RecordingLeavesTheLaunchScheduleUnchanged) {
+  // The recording tees the lowering: a launch's timeline is identical
+  // whether or not the runtime records it.
+  auto run = [](bool record) {
+    GpuRuntime rt{DeviceSpec::test_device()};
+    const ArrayId a = rt.alloc(1000, "a");
+    const ArrayId b = rt.alloc(1000, "b");
+    rt.host_write(a);
+    TaskGraph g;
+    const auto root = g.add_kernel(kernel_spec("root", {{a, false}, {b, true}}));
+    const auto left = g.add_kernel(kernel_spec("left", {{b, false}}));
+    const auto right = g.add_kernel(kernel_spec("right", {{b, false}}));
+    g.add_dependency(root, left);
+    g.add_dependency(root, right);
+    auto exec = g.instantiate(rt);
+    Submission rec;
+    if (record) {
+      record_launch(rt, exec, rec);
+    } else {
+      exec.launch(rt);
+    }
+    rt.synchronize_device();
+    return rt.timeline().entries();
+  };
+  const auto plain = run(false);
+  const auto recorded = run(true);
+  ASSERT_EQ(plain.size(), recorded.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].name, recorded[i].name) << i;
+    EXPECT_EQ(plain[i].start, recorded[i].start) << i;
+    EXPECT_EQ(plain[i].end, recorded[i].end) << i;
+  }
+}
+
+TEST_F(GraphTest, RecordedRelaunchReusesTheRecordingAllocationFree) {
+  const ArrayId a = rt_.alloc(1000, "a");
+  rt_.host_write(a);
+  TaskGraph g;
+  const auto k1 = g.add_kernel(kernel_spec("k1", {{a, true}}));
+  const auto k2 = g.add_kernel(kernel_spec("k2", {{a, false}}));
+  g.add_dependency(k1, k2);
+  auto exec = g.instantiate(rt_);
+
+  Submission rec;
+  record_launch(rt_, exec, rec);
+  rt_.synchronize_device();
+  const void* buffer = rec.buffer_id();
+  const std::size_t items = rec.size();
+  EXPECT_GT(items, 0u);
+
+  // Replays are allocation-free on the submission path: the recorded list
+  // is re-committed verbatim — not drained, not rebuilt, not reallocated.
+  // The first replay runs the one validation pass (sealing the list); the
+  // rest skip it.
+  for (int i = 0; i < 3; ++i) {
+    rt_.replay(rec);
+    rt_.synchronize_device();
+    EXPECT_EQ(rec.buffer_id(), buffer);
+    EXPECT_EQ(rec.size(), items);
+    EXPECT_TRUE(rec.sealed());
+    EXPECT_EQ(rec.validations(), 1);
+  }
+  int kernel_count = 0;
+  for (const auto& e : rt_.timeline().entries()) {
+    if (e.kind == OpKind::Kernel) ++kernel_count;
+  }
+  EXPECT_EQ(kernel_count, 8);  // 4 runs x 2 kernels
+}
+
+TEST_F(GraphTest, RecordedRelaunchReplaysMigrationsStatically) {
+  // CUDA Graphs' static replay: the migration recorded at first launch is
+  // re-issued on every relaunch even though the data is still resident —
+  // the recorded op list is frozen, not re-derived.
+  const ArrayId a = rt_.alloc(10000, "a");
+  rt_.host_write(a);
+  TaskGraph g;
+  g.add_kernel(kernel_spec("k", {{a, false}}));
+  auto exec = g.instantiate(rt_);
+  Submission rec;
+  record_launch(rt_, exec, rec);
+  rt_.synchronize_device();
+  rt_.replay(rec);
+  rt_.synchronize_device();
+  int faults = 0;
+  for (const auto& e : rt_.timeline().entries()) {
+    if (e.kind == OpKind::Fault) ++faults;
+  }
+  EXPECT_EQ(faults, 2);
+}
+
+TEST_F(GraphTest, RecordedRelaunchReappliesWriteTransitions) {
+  // Replayed write-kernels re-invalidate host/peer copies (the residency
+  // transition lives in the recorded bind): a host read after every
+  // relaunch migrates the fresh result back, exactly like per-call issue.
+  const ArrayId a = rt_.alloc(10000, "a");
+  rt_.host_write(a);
+  TaskGraph g;
+  g.add_kernel(kernel_spec("k", {{a, true}}));
+  auto exec = g.instantiate(rt_);
+  Submission rec;
+  record_launch(rt_, exec, rec);
+  rt_.synchronize_device();
+  rt_.host_read(a);
+  const double d2h_after_first = rt_.bytes_d2h();
+  EXPECT_GT(d2h_after_first, 0);
+
+  rt_.replay(rec);  // replay re-writes `a`
+  rt_.synchronize_device();
+  EXPECT_TRUE(rt_.memory().info(a).device_dirty);
+  rt_.host_read(a);  // must migrate the replayed result back
+  EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
+}
+
 TEST_F(GraphTest, RecordedRelaunchJoinsAnOpenBatch) {
-  // Like a Batched launch, a Recorded relaunch inside a user batch joins
-  // it: the recording ingests into the open transaction and nothing is
-  // flushed before the user's commit.
+  // Like a graph launch, a replay inside a user batch joins it: the
+  // recording ingests into the open transaction and nothing is flushed
+  // before the user's commit.
   const ArrayId a = rt_.alloc(1000, "a");
   rt_.host_write(a);
   TaskGraph g;
   g.add_kernel(kernel_spec("k", {{a, true}}));
   auto exec = g.instantiate(rt_);
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
+  Submission rec;
+  record_launch(rt_, exec, rec);
   rt_.synchronize_device();
 
   rt_.begin_submit();
   rt_.launch(kDefaultStream, kernel_spec("k0", {{a, true}}));
   const long commits_before = rt_.batch_commits();
-  exec.launch(rt_, TaskGraph::Replay::Recorded);
+  rt_.replay(rec);
   EXPECT_TRUE(rt_.submitting());
   EXPECT_EQ(rt_.batch_commits(), commits_before);  // no early flush
   rt_.commit();
@@ -415,7 +440,7 @@ TEST_F(GraphTest, RecordedRelaunchJoinsAnOpenBatch) {
 }
 
 TEST_F(GraphTest, EvictionServicingIsNotBakedIntoRecordings) {
-  // A first Recorded launch that evicts a bystander must not record the
+  // A recorded launch that evicts a bystander must not record the
   // page-out or its gate: replays admit nothing, so re-executing the
   // write-back would inflate every relaunch with phantom D2H traffic.
   DeviceSpec spec = DeviceSpec::test_device();
@@ -431,10 +456,11 @@ TEST_F(GraphTest, EvictionServicingIsNotBakedIntoRecordings) {
   TaskGraph g;
   g.add_kernel(kernel_spec("kw", {{w, true}}));
   auto exec = g.instantiate(rt);
-  exec.launch(rt, TaskGraph::Replay::Recorded);  // evicts bystander
+  Submission rec;
+  record_launch(rt, exec, rec);  // evicts bystander
   rt.synchronize_device();
   EXPECT_EQ(rt.evict_ops(), 1);
-  exec.launch(rt, TaskGraph::Replay::Recorded);  // replay: no admission
+  rt.replay(rec);  // replay: no admission
   rt.synchronize_device();
   int evict_entries = 0;
   for (const auto& e : rt.timeline().entries()) {

@@ -127,8 +127,8 @@ TEST(MultiDeviceEngine, CrossDeviceDependencyViaP2PLink) {
   EXPECT_EQ(it->device, 1);  // destination (the stream's device)
   EXPECT_EQ(it->peer, 0);    // source
   // Exactly the (0 -> 1) link class was solved; the reverse link never.
-  EXPECT_EQ(eng.link_solve_count(0, 1), 1);
-  EXPECT_EQ(eng.link_solve_count(1, 0), 0);
+  EXPECT_EQ(eng.link_solver_stats(0, 1).solves, 1);
+  EXPECT_EQ(eng.link_solver_stats(1, 0).solves, 0);
 }
 
 TEST(MultiDeviceEngine, StagedP2PUsesPcieBottleneck) {
@@ -176,7 +176,8 @@ TEST(MultiDeviceEngine, SolverWorkIsolatedPerDevice) {
   const OpId longk = eng.enqueue(raw_kernel(s1, 5000, 2, 1.0), 0);
   eng.advance_to(1);  // it is running: its class was solved exactly once
   ASSERT_FALSE(eng.op_done(longk));
-  const long dev1_solves_before = eng.class_solve_count(1, OpKind::Kernel);
+  const long dev1_solves_before =
+      eng.class_solver_stats(1, OpKind::Kernel).solves;
   EXPECT_EQ(dev1_solves_before, 1);
 
   // Heavy membership churn on device 0: kernels, both copy directions and
@@ -197,10 +198,11 @@ TEST(MultiDeviceEngine, SolverWorkIsolatedPerDevice) {
   ASSERT_FALSE(eng.op_done(longk));
 
   // Device 0 churned hard; device 1's kernel class was never re-solved.
-  EXPECT_GT(eng.class_solve_count(0, OpKind::Kernel), 50);
-  EXPECT_GT(eng.class_solve_count(0, OpKind::CopyH2D), 10);
-  EXPECT_EQ(eng.class_solve_count(1, OpKind::Kernel), dev1_solves_before);
-  EXPECT_EQ(eng.class_solve_count(1, OpKind::CopyH2D), 0);
+  EXPECT_GT(eng.class_solver_stats(0, OpKind::Kernel).solves, 50);
+  EXPECT_GT(eng.class_solver_stats(0, OpKind::CopyH2D).solves, 10);
+  EXPECT_EQ(eng.class_solver_stats(1, OpKind::Kernel).solves,
+            dev1_solves_before);
+  EXPECT_EQ(eng.class_solver_stats(1, OpKind::CopyH2D).solves, 0);
   eng.run_all();
 }
 

@@ -68,8 +68,8 @@ TEST(SubmissionEquivalence, ContentionDagMatchesPerCallBitExact) {
   EXPECT_EQ(batched.solved_ops(), per_call.solved_ops());
   for (const OpKind kind :
        {OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault}) {
-    EXPECT_EQ(batched.class_solve_count(0, kind),
-              per_call.class_solve_count(0, kind))
+    EXPECT_EQ(batched.class_solver_stats(0, kind).solves,
+              per_call.class_solver_stats(0, kind).solves)
         << to_string(kind);
   }
 }
@@ -135,15 +135,15 @@ TEST(SubmissionEquivalence, MultiDeviceContentionMatchesPerCall) {
   for (DeviceId d = 0; d < 4; ++d) {
     for (const OpKind kind :
          {OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault}) {
-      EXPECT_EQ(batched.class_solve_count(d, kind),
-                per_call.class_solve_count(d, kind))
+      EXPECT_EQ(batched.class_solver_stats(d, kind).solves,
+                per_call.class_solver_stats(d, kind).solves)
           << "device " << d << " " << to_string(kind);
     }
   }
   for (DeviceId s = 0; s < 4; ++s) {
     for (DeviceId d = 0; d < 4; ++d) {
-      EXPECT_EQ(batched.link_solve_count(s, d),
-                per_call.link_solve_count(s, d));
+      EXPECT_EQ(batched.link_solver_stats(s, d).solves,
+                per_call.link_solver_stats(s, d).solves);
     }
   }
 }
@@ -382,7 +382,7 @@ TEST(Transaction, BatchDirtiesEachClassOncePerCommit) {
   }
   eng.commit_transaction();
   eng.advance_to(1);  // everything started and priced
-  EXPECT_EQ(eng.class_solve_count(0, OpKind::Kernel), 1);
+  EXPECT_EQ(eng.class_solver_stats(0, OpKind::Kernel).solves, 1);
 }
 
 }  // namespace
